@@ -135,7 +135,7 @@ Duration Broker::recover_storage() {
   for (auto& [pid, st] : partitions_) {
     if (!st->log->durable()) continue;
     RecoveryResult rr;
-    st->log->recover_from_storage(sim_.now(), &rr);
+    st->log->recover_from_storage(&rr);
     ++stats_.recovery_scans;
     stats_.records_recovered += static_cast<std::uint64_t>(rr.recovered_records);
     stats_.records_discarded += static_cast<std::uint64_t>(rr.discarded_records);

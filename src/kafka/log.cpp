@@ -61,7 +61,7 @@ PartitionLog::AppendResult PartitionLog::append(std::span<const Record> records,
   }
   if (storage_) {
     pending_flush_cost_ += storage_->append_batch(
-        entries_.data() + result.base_offset, records.size(), batch_wire,
+        std::span<const LogEntry>(entries_).last(records.size()), batch_wire,
         hw_before, append_time);
   }
   return result;
@@ -80,8 +80,8 @@ void PartitionLog::append_replicated(const LogEntry& entry,
   }
   if (storage_) {
     pending_flush_cost_ += storage_->append_batch(
-        &entries_.back(), 1, kRecordOverhead + entry.value_size, hw_before,
-        local_write_time);
+        std::span<const LogEntry>(entries_).last(1),
+        kRecordOverhead + entry.value_size, hw_before, local_write_time);
   }
 }
 
@@ -93,12 +93,15 @@ void PartitionLog::advance_high_watermark(std::int64_t offset) noexcept {
 void PartitionLog::truncate_to(std::int64_t offset) {
   offset = std::max<std::int64_t>(offset, 0);
   if (offset >= log_end_offset()) return;
-  if (storage_) storage_->truncate_to(offset);
+  if (storage_) storage_->truncate_to(offset, entries_);
   ++truncations_;
   truncated_entries_ += log_end_offset() - offset;
   entries_.resize(static_cast<std::size_t>(offset));
   high_watermark_ = std::min(high_watermark_, offset);
-  // Rebuild producer dedup state and byte accounting from what survives.
+  rebuild_from_entries();
+}
+
+void PartitionLog::rebuild_from_entries() {
   producers_.clear();
   size_bytes_ = 0;
   for (const auto& e : entries_) {
@@ -116,14 +119,16 @@ std::int64_t PartitionLog::last_sequence_of(std::uint64_t producer_id) const {
 }
 
 void PartitionLog::enable_storage(StorageDevice* device) {
-  assert(entries_.empty());  // The shadow must start in sync with the log.
+  assert(entries_.empty());  // Storage must start in sync with the log.
   storage_ = std::make_unique<SegmentedLog>(device);
 }
 
 std::int64_t PartitionLog::crash_power_loss(TimePoint now, bool torn_write) {
   std::int64_t dropped = 0;
   if (storage_) {
-    dropped = storage_->power_loss(now, torn_write).dropped_records;
+    // The records go to storage, which keeps what reached the disk.
+    dropped = storage_->power_loss(now, torn_write, std::move(entries_))
+                  .dropped_records;
   }
   entries_.clear();
   producers_.clear();
@@ -133,23 +138,11 @@ std::int64_t PartitionLog::crash_power_loss(TimePoint now, bool torn_write) {
   return dropped;
 }
 
-void PartitionLog::recover_from_storage(TimePoint now, RecoveryResult* out) {
-  (void)now;
+void PartitionLog::recover_from_storage(RecoveryResult* out) {
   assert(storage_ != nullptr);
-  std::vector<LogEntry> recovered;
-  *out = storage_->recover(recovered);
-  entries_ = std::move(recovered);
-  // Rebuild producer dedup state and byte accounting from the surviving
-  // prefix, exactly as truncation does.
-  producers_.clear();
-  size_bytes_ = 0;
-  for (const auto& e : entries_) {
-    if (e.producer_id != 0 && e.sequence >= 0) {
-      auto& state = producers_[e.producer_id];
-      state.last_sequence = std::max(state.last_sequence, e.sequence);
-    }
-    size_bytes_ += kRecordOverhead + e.value_size;
-  }
+  assert(entries_.empty());  // Only a powered-off log is recovered.
+  *out = storage_->recover(entries_);
+  rebuild_from_entries();
   // Restore the checkpointed commit point: entries below it were committed
   // before the crash, so a recovering follower keeps them (no divergence
   // risk) and refetches only the unchecked tail.

@@ -97,9 +97,10 @@ class PartitionLog {
 
   // ---- durable storage (see kafka/storage.hpp) ----------------------------
 
-  /// Shadow this log with a SegmentedLog on `device`. Must be called while
-  /// the log is empty. With default flush knobs the shadow is pure
-  /// bookkeeping (no service time, no randomness).
+  /// Back this log with a SegmentedLog on `device`, which tracks each
+  /// appended batch's CRC and flush state (the records stay here). Must be
+  /// called while the log is empty. With default flush knobs storage is
+  /// pure bookkeeping (no service time, no randomness).
   void enable_storage(StorageDevice* device);
   bool durable() const noexcept { return storage_ != nullptr; }
   SegmentedLog* storage() noexcept { return storage_.get(); }
@@ -114,14 +115,15 @@ class PartitionLog {
   }
 
   /// Power cut: all volatile state is gone (entries, producer dedup, high
-  /// watermark); storage keeps what was flushed or written back, possibly
-  /// with a torn tail batch. Returns the records dropped from disk.
+  /// watermark); the entries pass to storage, which keeps what was flushed
+  /// or written back, possibly with a torn tail batch, until the recovery
+  /// scan. Returns the records dropped from disk.
   std::int64_t crash_power_loss(TimePoint now, bool torn_write);
 
   /// Recovery scan after a hard restart: rebuild entries, producer dedup
   /// state and the high-watermark checkpoint from storage's surviving
   /// prefix. Fills `*out` with the scan accounting.
-  void recover_from_storage(TimePoint now, RecoveryResult* out);
+  void recover_from_storage(RecoveryResult* out);
 
   /// Cross-check the rebuilt log against storage ground truth; nonzero is
   /// a recovery bug (the `durable-recovery-prefix` invariant input).
@@ -139,6 +141,9 @@ class PartitionLog {
   struct ProducerState {
     std::int64_t last_sequence = -1;
   };
+
+  /// Rebuild producer dedup state and byte accounting from entries_.
+  void rebuild_from_entries();
 
   std::vector<LogEntry> entries_;
   Bytes size_bytes_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "kafka/record.hpp"
 
@@ -51,59 +52,61 @@ Duration StorageDevice::flush_cost(Bytes dirty, TimePoint now) const {
   return cost;
 }
 
-std::uint32_t SegmentedLog::content_crc(const StoredBatch& batch) {
-  // Serialize the logical batch content (header + per-record fields) into
-  // a byte stream and checksum it — the analogue of Kafka's record-batch
-  // CRC over the batch body.
-  std::vector<std::uint8_t> buf;
-  buf.reserve(16 + batch.records.size() * 56);
-  const auto put64 = [&buf](std::uint64_t v) {
+namespace {
+
+Bytes wire_bytes_of(std::span<const LogEntry> records) {
+  Bytes total = 0;
+  for (const auto& r : records) total += kRecordOverhead + r.value_size;
+  return total;
+}
+
+}  // namespace
+
+std::uint32_t SegmentedLog::content_crc(std::int64_t base_offset,
+                                        std::span<const LogEntry> records) {
+  // Checksum the logical batch content (header + per-record fields, each a
+  // little-endian u64) — the analogue of Kafka's record-batch CRC over the
+  // batch body — fed through the incremental CRC one record at a time.
+  unsigned char buf[7 * 8];
+  const auto put64 = [&buf](int slot, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      buf.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+      buf[slot * 8 + i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
     }
   };
-  put64(static_cast<std::uint64_t>(batch.base_offset));
-  put64(static_cast<std::uint64_t>(batch.records.size()));
-  for (const auto& r : batch.records) {
-    put64(static_cast<std::uint64_t>(r.offset));
-    put64(r.key);
-    put64(static_cast<std::uint64_t>(r.value_size));
-    put64(static_cast<std::uint64_t>(r.append_time));
-    put64(static_cast<std::uint64_t>(r.leader_epoch));
-    put64(r.producer_id);
-    put64(static_cast<std::uint64_t>(r.sequence));
+  put64(0, static_cast<std::uint64_t>(base_offset));
+  put64(1, static_cast<std::uint64_t>(records.size()));
+  std::uint32_t crc = crc32c(buf, 16);
+  for (const auto& r : records) {
+    put64(0, static_cast<std::uint64_t>(r.offset));
+    put64(1, r.key);
+    put64(2, static_cast<std::uint64_t>(r.value_size));
+    put64(3, static_cast<std::uint64_t>(r.append_time));
+    put64(4, static_cast<std::uint64_t>(r.leader_epoch));
+    put64(5, r.producer_id);
+    put64(6, static_cast<std::uint64_t>(r.sequence));
+    crc = crc32c(buf, sizeof buf, crc);
   }
-  return crc32c(buf.data(), buf.size());
+  return crc;
 }
 
-SegmentedLog::Segment& SegmentedLog::writable_segment() {
-  if (segments_.empty() ||
-      segments_.back().bytes >= device_->config().segment_bytes) {
-    Segment seg;
-    seg.base_offset = end_offset_;
-    segments_.push_back(std::move(seg));
-  }
-  return segments_.back();
-}
-
-Duration SegmentedLog::append_batch(const LogEntry* entries, std::size_t count,
+Duration SegmentedLog::append_batch(std::span<const LogEntry> batch,
                                     Bytes wire_bytes,
                                     std::int64_t hw_at_append, TimePoint now) {
-  assert(count > 0);
-  assert(entries[0].offset == end_offset_);
-  auto& seg = writable_segment();
-  StoredBatch batch;
-  batch.base_offset = end_offset_;
-  batch.append_time = now;
-  batch.wire_bytes = wire_bytes;
-  batch.hw_at_append = hw_at_append;
-  batch.records.assign(entries, entries + count);
-  batch.crc = content_crc(batch);
-  seg.bytes += wire_bytes;
-  seg.batches.push_back(std::move(batch));
-  end_offset_ += static_cast<std::int64_t>(count);
+  assert(!batch.empty());
+  assert(batch.front().offset == end_offset_);
+  if (segment_starts_.empty() ||
+      active_segment_bytes_ >= device_->config().segment_bytes) {
+    segment_starts_.push_back(batches_.size());
+    active_segment_bytes_ = 0;
+  }
+  const auto count = static_cast<std::int64_t>(batch.size());
+  active_segment_bytes_ += wire_bytes;
+  batches_.push_back(StoredBatch{end_offset_, count,
+                                 content_crc(end_offset_, batch), now,
+                                 wire_bytes, hw_at_append});
+  end_offset_ += count;
   dirty_bytes_ += wire_bytes;
-  records_since_flush_ += static_cast<std::int64_t>(count);
+  records_since_flush_ += count;
 
   Duration cost = 0;
   maybe_sync_flush(now, &cost);
@@ -127,147 +130,99 @@ void SegmentedLog::maybe_sync_flush(TimePoint now, Duration* cost) {
 
 void SegmentedLog::flush(TimePoint now) {
   // Dirty batches are always a suffix; walk back until the flushed prefix.
-  for (auto seg = segments_.rbegin(); seg != segments_.rend(); ++seg) {
-    bool hit_clean = false;
-    for (auto b = seg->batches.rbegin(); b != seg->batches.rend(); ++b) {
-      if (b->flushed) {
-        hit_clean = true;
-        break;
-      }
-      b->flushed = true;
-    }
-    if (hit_clean) break;
+  for (auto b = batches_.rbegin(); b != batches_.rend() && !b->flushed; ++b) {
+    b->flushed = true;
   }
   dirty_bytes_ = 0;
   records_since_flush_ = 0;
   last_flush_ = now;
 }
 
-void SegmentedLog::truncate_to(std::int64_t offset) {
-  offset = std::max<std::int64_t>(offset, 0);
-  if (offset >= end_offset_) return;
-  while (!segments_.empty()) {
-    auto& seg = segments_.back();
-    if (seg.base_offset >= offset) {
-      segments_.pop_back();
-      continue;
-    }
-    while (!seg.batches.empty()) {
-      auto& b = seg.batches.back();
-      const auto count = static_cast<std::int64_t>(b.records.size());
-      if (b.base_offset >= offset) {
-        seg.batches.pop_back();
-        continue;
-      }
-      if (b.base_offset + count > offset) {
-        // Straddled batch: rewrite it in place with the surviving prefix.
-        b.records.resize(static_cast<std::size_t>(offset - b.base_offset));
-        b.wire_bytes = 0;
-        for (const auto& r : b.records) {
-          b.wire_bytes += kRecordOverhead + r.value_size;
-        }
-        b.crc = content_crc(b);
-        // A latent bit flip must stay detectable through the rewrite.
-        if (b.corrupt) b.crc ^= 1u;
-      }
-      break;
-    }
-    if (seg.batches.empty()) {
-      segments_.pop_back();
-      continue;
-    }
-    break;
+void SegmentedLog::resync_accounting() {
+  while (!segment_starts_.empty() &&
+         segment_starts_.back() >= batches_.size()) {
+    segment_starts_.pop_back();
   }
-  end_offset_ = offset;
-  // Rebuild byte accounting from the survivors.
+  active_segment_bytes_ = 0;
   dirty_bytes_ = 0;
-  for (auto& seg : segments_) {
-    seg.bytes = 0;
-    for (const auto& b : seg.batches) {
-      seg.bytes += b.wire_bytes;
-      if (!b.flushed) dirty_bytes_ += b.wire_bytes;
+  for (std::size_t i = 0; i < batches_.size(); ++i) {
+    if (i >= segment_starts_.back()) {
+      active_segment_bytes_ += batches_[i].wire_bytes;
     }
+    if (!batches_[i].flushed) dirty_bytes_ += batches_[i].wire_bytes;
   }
 }
 
-SegmentedLog::PowerLossResult SegmentedLog::power_loss(TimePoint now,
-                                                       bool torn_write) {
+void SegmentedLog::truncate_to(std::int64_t offset,
+                               std::span<const LogEntry> log) {
+  offset = std::max<std::int64_t>(offset, 0);
+  if (offset >= end_offset_) return;
+  while (!batches_.empty() && batches_.back().base_offset >= offset) {
+    batches_.pop_back();
+  }
+  if (!batches_.empty() && batches_.back().end() > offset) {
+    // Straddled batch: rewrite it in place with the surviving prefix.
+    auto& b = batches_.back();
+    b.count = offset - b.base_offset;
+    b.wire_bytes = wire_bytes_of(b.in(log));
+    b.crc = content_crc(b.base_offset, b.in(log));
+    // A latent bit flip must stay detectable through the rewrite.
+    if (b.corrupt) b.crc ^= 1u;
+  }
+  end_offset_ = offset;
+  resync_accounting();
+}
+
+SegmentedLog::PowerLossResult SegmentedLog::power_loss(
+    TimePoint now, bool torn_write, std::vector<LogEntry> log) {
+  assert(disk_image_.empty());
+  assert(static_cast<std::int64_t>(log.size()) == end_offset_);
   PowerLossResult out;
   const auto& cfg = device_->config();
   // OS background writeback: dirty batches past the writeback window are
   // on disk even without an explicit flush.
-  for (auto& seg : segments_) {
-    for (auto& b : seg.batches) {
-      if (!b.flushed && b.append_time + cfg.os_writeback_after <= now) {
-        b.flushed = true;
-      }
+  for (auto& b : batches_) {
+    if (!b.flushed && b.append_time + cfg.os_writeback_after <= now) {
+      b.flushed = true;
     }
   }
   // Durability is a prefix property (flushes cover the whole dirty set and
   // writeback ages in append order): find the first unflushed batch and
   // drop everything from there.
-  bool lost = false;
-  bool tear_pending = torn_write;
-  for (auto& seg : segments_) {
-    std::size_t keep = seg.batches.size();
-    for (std::size_t i = 0; i < seg.batches.size(); ++i) {
-      auto& b = seg.batches[i];
-      if (!lost && b.flushed) continue;
-      lost = true;
-      if (tear_pending) {
-        // The first lost batch was mid-write: a prefix of its records made
-        // it to the platters, but its CRC (computed over the full batch)
-        // can no longer validate. The recovery scan truncates it.
-        tear_pending = false;
-        const std::size_t half = b.records.size() / 2;
-        out.dropped_records +=
-            static_cast<std::int64_t>(b.records.size() - half);
-        b.records.resize(half);
-        b.wire_bytes = 0;
-        for (const auto& r : b.records) {
-          b.wire_bytes += kRecordOverhead + r.value_size;
-        }
-        b.torn = true;
-        out.tore = true;
-        continue;  // The torn stub survives for the scan to find.
-      }
-      keep = std::min(keep, i);
-      out.dropped_records += static_cast<std::int64_t>(b.records.size());
-    }
-    seg.batches.resize(keep);
+  auto keep = static_cast<std::size_t>(
+      std::find_if(batches_.begin(), batches_.end(),
+                   [](const StoredBatch& b) { return !b.flushed; }) -
+      batches_.begin());
+  for (std::size_t i = keep; i < batches_.size(); ++i) {
+    out.dropped_records += batches_[i].count;
   }
-  segments_.erase(std::remove_if(segments_.begin(), segments_.end(),
-                                 [](const Segment& s) {
-                                   return s.batches.empty();
-                                 }),
-                  segments_.end());
-  // Rebuild bookkeeping over the survivors.
-  end_offset_ = 0;
-  dirty_bytes_ = 0;
-  for (auto& seg : segments_) {
-    seg.bytes = 0;
-    for (const auto& b : seg.batches) {
-      seg.bytes += b.wire_bytes;
-      end_offset_ = b.base_offset + static_cast<std::int64_t>(b.records.size());
-    }
+  if (torn_write && keep < batches_.size()) {
+    // The first lost batch was mid-write: a prefix of its records made it
+    // to the platters, but its CRC (computed over the full batch) can no
+    // longer validate. The stub survives for the recovery scan to find.
+    auto& b = batches_[keep++];
+    b.count /= 2;
+    out.dropped_records -= b.count;
+    b.wire_bytes = wire_bytes_of(b.in(log));
+    b.torn = true;
+    out.tore = true;
   }
+  batches_.resize(keep);
+  end_offset_ = batches_.empty() ? 0 : batches_.back().end();
+  resync_accounting();
   records_since_flush_ = 0;
   pending_power_loss_drop_ += out.dropped_records;
+  // What reached the platters, torn stub included, is the disk image the
+  // recovery scan reads.
+  log.resize(static_cast<std::size_t>(end_offset_));
+  disk_image_ = std::move(log);
   // Ground truth for verify_recovered: a correct recovery keeps exactly
   // the records below the first batch whose fault flags say it cannot
   // validate (torn tail or latent corruption).
   expected_recover_end_ = 0;
-  for (const auto& seg : segments_) {
-    bool stop = false;
-    for (const auto& b : seg.batches) {
-      if (b.torn || b.corrupt) {
-        stop = true;
-        break;
-      }
-      expected_recover_end_ =
-          b.base_offset + static_cast<std::int64_t>(b.records.size());
-    }
-    if (stop) break;
+  for (const auto& b : batches_) {
+    if (b.torn || b.corrupt) break;
+    expected_recover_end_ = b.end();
   }
   return out;
 }
@@ -275,57 +230,49 @@ SegmentedLog::PowerLossResult SegmentedLog::power_loss(TimePoint now,
 bool SegmentedLog::corrupt_batch(std::uint64_t pick) {
   std::vector<StoredBatch*> all;
   std::vector<StoredBatch*> durable;
-  for (auto& seg : segments_) {
-    for (auto& b : seg.batches) {
-      all.push_back(&b);
-      if (b.flushed) durable.push_back(&b);
-    }
+  for (auto& b : batches_) {
+    all.push_back(&b);
+    if (b.flushed) durable.push_back(&b);
   }
   auto& pool = durable.empty() ? all : durable;
   if (pool.empty()) return false;
   StoredBatch& b = *pool[pick % pool.size()];
   if (b.corrupt) return true;  // Idempotent under repeated picks.
   b.corrupt = true;
-  if (b.records.empty() || ((pick >> 17) & 0x7u) == 0) {
-    // Sometimes the flip lands in the stored checksum itself.
-    b.crc ^= 1u << ((pick >> 20) & 31u);
-  } else {
-    auto& r = b.records[(pick >> 8) % b.records.size()];
-    r.key ^= Key{1} << ((pick >> 13) & 63u);
-  }
+  // CRC32C detects every single-bit error, so a flip in the stored
+  // checksum fails the scan exactly as a flip in a record would.
+  b.crc ^= 1u << ((pick >> 20) & 31u);
   return true;
 }
 
 RecoveryResult SegmentedLog::recover(std::vector<LogEntry>& out) {
   RecoveryResult rr;
   const auto& cfg = device_->config();
+  const std::span<const LogEntry> image(disk_image_);
   bool bad = false;
-  for (const auto& seg : segments_) {
-    for (const auto& b : seg.batches) {
-      if (bad) {
-        // Past the first failure everything is untrusted and dropped.
-        rr.discarded_records += static_cast<std::int64_t>(b.records.size());
-        continue;
-      }
-      ++rr.scanned_batches;
-      rr.scanned_bytes += b.wire_bytes;
-      if (content_crc(b) != b.crc) {
-        bad = true;
-        rr.discarded_records += static_cast<std::int64_t>(b.records.size());
-        if (b.torn) {
-          rr.torn_tail = true;
-          rr.torn_records += static_cast<std::int64_t>(b.records.size());
-        } else {
-          ++rr.corrupt_batches;
-        }
-        continue;
-      }
-      out.insert(out.end(), b.records.begin(), b.records.end());
-      rr.recovered_records += static_cast<std::int64_t>(b.records.size());
-      rr.recovered_hw = std::max(rr.recovered_hw, b.hw_at_append);
+  for (const auto& b : batches_) {
+    if (bad) {
+      // Past the first failure everything is untrusted and dropped.
+      rr.discarded_records += b.count;
+      continue;
     }
+    ++rr.scanned_batches;
+    rr.scanned_bytes += b.wire_bytes;
+    if (content_crc(b.base_offset, b.in(image)) != b.crc) {
+      bad = true;
+      rr.discarded_records += b.count;
+      if (b.torn) {
+        rr.torn_tail = true;
+        rr.torn_records += b.count;
+      } else {
+        ++rr.corrupt_batches;
+      }
+      continue;
+    }
+    rr.recovered_records += b.count;
+    rr.recovered_hw = std::max(rr.recovered_hw, b.hw_at_append);
   }
-  rr.recovered_end = static_cast<std::int64_t>(out.size());
+  rr.recovered_end = rr.recovered_records;
   rr.recovered_hw = std::min(rr.recovered_hw, rr.recovered_end);
   rr.discarded_records += pending_power_loss_drop_;
   pending_power_loss_drop_ = 0;
@@ -335,12 +282,13 @@ RecoveryResult SegmentedLog::recover(std::vector<LogEntry>& out) {
                         cfg.scan_per_byte_us));
   // Truncate storage at the failure point and mark the survivors clean:
   // recovery rewrites the recovery point and fsyncs what it keeps.
-  truncate_to(rr.recovered_end);
-  for (auto& seg : segments_) {
-    for (auto& b : seg.batches) b.flushed = true;
-  }
+  truncate_to(rr.recovered_end, image);
+  for (auto& b : batches_) b.flushed = true;
   dirty_bytes_ = 0;
   records_since_flush_ = 0;
+  // The valid prefix goes back to the log; storage keeps only metadata.
+  disk_image_.resize(static_cast<std::size_t>(rr.recovered_end));
+  out = std::exchange(disk_image_, {});
   return rr;
 }
 
@@ -353,28 +301,19 @@ std::uint64_t SegmentedLog::verify_recovered(
       static_cast<std::int64_t>(entries.size()) != expected_recover_end_) {
     ++violations;
   }
-  // And the rebuilt in-memory log must match the surviving stored records
-  // one-for-one, contiguous from offset zero.
-  std::size_t i = 0;
-  for (const auto& seg : segments_) {
-    for (const auto& b : seg.batches) {
-      for (const auto& r : b.records) {
-        if (i >= entries.size()) {
-          ++violations;
-        } else {
-          const auto& e = entries[i];
-          if (e.offset != static_cast<std::int64_t>(i) || e.key != r.key ||
-              e.leader_epoch != r.leader_epoch ||
-              e.producer_id != r.producer_id || e.sequence != r.sequence) {
-            ++violations;
-          }
-        }
-        ++i;
-      }
-    }
+  // The rebuilt log must be contiguous from offset zero...
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].offset != static_cast<std::int64_t>(i)) ++violations;
   }
-  if (i < entries.size()) {
-    violations += static_cast<std::uint64_t>(entries.size() - i);
+  // ...and hold exactly the records every surviving batch was appended with.
+  // (A torn one-record batch leaves a zero-record stub at the recovered end
+  // that the scan rejected but does not truncate away; it holds nothing.)
+  for (const auto& b : batches_) {
+    if (b.torn) continue;
+    if (b.end() > static_cast<std::int64_t>(entries.size()) ||
+        content_crc(b.base_offset, b.in(entries)) != b.crc) {
+      ++violations;
+    }
   }
   return violations;
 }

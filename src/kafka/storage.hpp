@@ -1,7 +1,7 @@
 // The simulated durable-storage layer under a broker: every partition log
-// is shadowed by a SegmentedLog of bounded segments whose batches live in
-// the OS page cache until a flush makes them durable. Kafka's flush
-// discipline is modelled faithfully:
+// has a SegmentedLog of bounded segments of batch metadata (offsets, CRC,
+// flush state); the records themselves live only in the PartitionLog.
+// Kafka's flush discipline is modelled faithfully:
 //
 //  - `flush.messages` / `flush.ms` force synchronous flushes (log.flush.*);
 //    the default (both 0) is Kafka's recommended OS-cache-only mode, where
@@ -10,10 +10,12 @@
 //    has passed (pdflush-style background writeback, scaled to sim runs);
 //  - a power loss (hard crash) drops whatever was neither flushed nor
 //    written back — and may additionally tear the first lost batch, leaving
-//    a partially-written tail whose CRC no longer matches;
+//    a partially-written tail whose CRC no longer matches. Storage holds
+//    the log's durable prefix as the disk image until the restart;
 //  - every batch carries a CRC32C computed at append time; the recovery
-//    scan on restart re-validates batch-by-batch and truncates the log at
-//    the first mismatch (torn tail or latent bit-flip corruption).
+//    scan on restart re-validates the disk image batch-by-batch, truncates
+//    at the first mismatch (torn tail or latent bit-flip corruption) and
+//    hands the valid prefix back to the log.
 //
 // The device/log split mirrors the real layout: one StorageDevice per
 // broker (flush-cost model, stall windows, device-wide counters), one
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -112,23 +115,25 @@ struct RecoveryResult {
   Duration scan_duration = 0;       ///< Modeled sequential re-read cost.
 };
 
-/// One partition directory: bounded segments of CRC'd batches.
+/// One partition directory: bounded segments of CRC'd batch metadata,
+/// kept as one batch list split at the segment roll points.
 class SegmentedLog {
  public:
   explicit SegmentedLog(StorageDevice* device) : device_(device) {}
 
-  /// Persist one appended batch into the page cache. `entries` must start
-  /// exactly at the current storage end (the log is a prefix copy of the
+  /// Persist one appended batch into the page cache. `batch` must start
+  /// exactly at the current storage end (storage tracks a prefix of the
   /// in-memory log). `hw_at_append` piggybacks the current high watermark
   /// as a recovery checkpoint. Returns the synchronous-flush cost if the
   /// flush policy fired, 0 otherwise (OS-cache-only append).
-  Duration append_batch(const LogEntry* entries, std::size_t count,
-                        Bytes wire_bytes, std::int64_t hw_at_append,
-                        TimePoint now);
+  Duration append_batch(std::span<const LogEntry> batch, Bytes wire_bytes,
+                        std::int64_t hw_at_append, TimePoint now);
 
   /// Mirror an in-memory truncation (follower reconciliation): drop every
   /// record at offset >= `offset`, rewriting the straddled batch in place.
-  void truncate_to(std::int64_t offset);
+  /// `log` is the partition's whole log (index == offset), still holding
+  /// the records being dropped.
+  void truncate_to(std::int64_t offset, std::span<const LogEntry> log);
 
   /// Synchronous flush of all dirty batches (no cost accounting: use
   /// append_batch's return or StorageDevice::flush_cost for that).
@@ -140,32 +145,38 @@ class SegmentedLog {
   };
   /// Power cut at `now`: batches neither flushed nor old enough for OS
   /// writeback vanish. With `torn_write` the first lost batch survives
-  /// partially written (its CRC no longer matches its content).
-  PowerLossResult power_loss(TimePoint now, bool torn_write);
+  /// partially written (its CRC no longer matches its content). `log` is
+  /// the partition's in-memory log, handed over as it dies; its durable
+  /// prefix is kept as the disk image until recover().
+  PowerLossResult power_loss(TimePoint now, bool torn_write,
+                             std::vector<LogEntry> log);
 
   /// Latent bit-flip: corrupt one durable batch, chosen by `pick`
   /// (deterministic; callers derive it from the scenario seed). The flip
-  /// lands in a record field or in the stored CRC itself — either way the
-  /// checksum no longer matches. Returns false if nothing is durable yet.
+  /// lands in the stored CRC, so the checksum no longer matches the
+  /// records. Returns false if nothing is durable yet.
   bool corrupt_batch(std::uint64_t pick);
 
-  /// Recovery scan after a hard restart: walk the segments in order,
-  /// re-validate every batch's CRC, truncate at the first mismatch, and
-  /// return the surviving prefix in `out`. Storage itself is truncated to
-  /// the survivors and marked clean (recovery fsyncs what it keeps).
+  /// Recovery scan after a hard restart: walk the batches in order,
+  /// re-validate every batch's CRC against the disk image, truncate at the
+  /// first mismatch, and move the surviving prefix into `out`. Storage
+  /// itself is truncated to the survivors and marked clean (recovery
+  /// fsyncs what it keeps).
   RecoveryResult recover(std::vector<LogEntry>& out);
 
-  /// Independent cross-check of a rebuilt in-memory log against the
-  /// expected survivable prefix (computed from ground-truth fault flags at
-  /// power-loss time, not from the CRC scan). Any nonzero return is a
-  /// recovery bug: the scan and the ground truth disagree, or the rebuilt
-  /// entries do not match the surviving records. Feeds the
-  /// `durable-recovery-prefix` invariant.
+  /// Independent cross-check of a rebuilt in-memory log: its length must
+  /// equal the expected survivable prefix (computed from ground-truth fault
+  /// flags at power-loss time, not from the CRC scan), its offsets must be
+  /// contiguous from zero, and every surviving batch's append-time CRC must
+  /// still match the rebuilt entries. Any nonzero return is a recovery bug.
+  /// Feeds the `durable-recovery-prefix` invariant.
   std::uint64_t verify_recovered(const std::vector<LogEntry>& entries) const;
 
   std::int64_t end_offset() const noexcept { return end_offset_; }
   Bytes dirty_bytes() const noexcept { return dirty_bytes_; }
-  std::size_t segment_count() const noexcept { return segments_.size(); }
+  std::size_t segment_count() const noexcept {
+    return segment_starts_.size();
+  }
   std::int64_t expected_recover_end() const noexcept {
     return expected_recover_end_;
   }
@@ -173,27 +184,38 @@ class SegmentedLog {
  private:
   struct StoredBatch {
     std::int64_t base_offset = 0;
+    std::int64_t count = 0;        ///< Records in the batch.
     std::uint32_t crc = 0;         ///< CRC32C over the logical content.
     TimePoint append_time = 0;     ///< Local write time (writeback aging).
     Bytes wire_bytes = 0;
     std::int64_t hw_at_append = 0; ///< HW checkpoint piggybacked on write.
-    std::vector<LogEntry> records;
     bool flushed = false;          ///< Durable (fsync or OS writeback).
     bool torn = false;             ///< Ground truth: partially written.
     bool corrupt = false;          ///< Ground truth: latent bit flip.
-  };
-  struct Segment {
-    std::int64_t base_offset = 0;
-    Bytes bytes = 0;
-    std::vector<StoredBatch> batches;
-  };
 
-  static std::uint32_t content_crc(const StoredBatch& batch);
-  Segment& writable_segment();
+    std::int64_t end() const noexcept { return base_offset + count; }
+    /// This batch's records in `log`, a whole log (index == offset).
+    std::span<const LogEntry> in(std::span<const LogEntry> log) const {
+      return log.subspan(static_cast<std::size_t>(base_offset),
+                         static_cast<std::size_t>(count));
+    }
+  };
+  static std::uint32_t content_crc(std::int64_t base_offset,
+                                   std::span<const LogEntry> records);
   void maybe_sync_flush(TimePoint now, Duration* cost);
+  /// After batches were dropped: forget segments left empty and rebuild
+  /// the active segment's and the dirty byte counts from the survivors.
+  void resync_accounting();
 
   StorageDevice* device_;
-  std::vector<Segment> segments_;
+  std::vector<StoredBatch> batches_;
+  /// Index in batches_ of each segment's first batch; a new segment starts
+  /// once the last one holds segment_bytes.
+  std::vector<std::size_t> segment_starts_;
+  Bytes active_segment_bytes_ = 0;
+  /// The durable records between a power loss and the recovery scan; empty
+  /// while the broker is powered on (the PartitionLog holds the records).
+  std::vector<LogEntry> disk_image_;
   std::int64_t end_offset_ = 0;
   Bytes dirty_bytes_ = 0;
   std::int64_t records_since_flush_ = 0;

@@ -155,14 +155,14 @@ TEST(Storage, PowerLossDropsUnflushedSuffixOnly) {
   EXPECT_EQ(cache_log.crash_power_loss(millis(3), false), 7);
 
   RecoveryResult rr;
-  log.recover_from_storage(millis(4), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_EQ(rr.recovered_records, 4);
   EXPECT_EQ(rr.discarded_records, 0);
   EXPECT_EQ(log.verify_recovery(), 0u);
   EXPECT_EQ(log.log_end_offset(), 4);
 
   RecoveryResult cr;
-  cache_log.recover_from_storage(millis(4), &cr);
+  cache_log.recover_from_storage(&cr);
   EXPECT_EQ(cr.recovered_records, 0);
   EXPECT_EQ(cr.discarded_records, 7);
   EXPECT_EQ(cache_log.verify_recovery(), 0u);
@@ -177,7 +177,7 @@ TEST(Storage, OsWritebackMakesOldBatchesDurable) {
   log.append(records(5, 5), millis(600));  // Still dirty at the crash.
   EXPECT_EQ(log.crash_power_loss(millis(700), false), 5);
   RecoveryResult rr;
-  log.recover_from_storage(millis(701), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_EQ(rr.recovered_records, 5);
   EXPECT_EQ(rr.discarded_records, 5);
   EXPECT_EQ(log.log_end_offset(), 5);
@@ -196,7 +196,7 @@ TEST(Storage, TornTailFailsCrcAndIsTruncated) {
   // other half never made it.
   EXPECT_EQ(dropped, 2);
   RecoveryResult rr;
-  log.recover_from_storage(millis(701), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_TRUE(rr.torn_tail);
   EXPECT_EQ(rr.torn_records, 2);
   EXPECT_EQ(rr.recovered_records, 6);
@@ -218,7 +218,7 @@ TEST(Storage, LatentCorruptionSurfacesAtRecoveryScan) {
   ASSERT_TRUE(log.storage()->corrupt_batch(0x12345));
   EXPECT_EQ(log.crash_power_loss(millis(10), false), 0);
   RecoveryResult rr;
-  log.recover_from_storage(millis(11), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_EQ(rr.corrupt_batches, 1);
   EXPECT_LT(rr.recovered_records, 12);
   EXPECT_EQ(rr.recovered_records + rr.discarded_records, 12);
@@ -242,7 +242,7 @@ TEST(Storage, RecoveryRebuildsProducerDedupState) {
   log.crash_power_loss(millis(4), false);
   EXPECT_EQ(log.last_sequence_of(7), -1);  // Volatile state is gone...
   RecoveryResult rr;
-  log.recover_from_storage(millis(5), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_EQ(rr.recovered_records, 7);
   EXPECT_EQ(log.last_sequence_of(7), 4);   // ...and rebuilt by the scan.
   EXPECT_EQ(log.last_sequence_of(9), 1);
@@ -266,13 +266,38 @@ TEST(Storage, RecoveryRestoresHighWatermarkCheckpoint) {
   log.append(records(4, 4), millis(2));  // Checkpoints hw=4.
   log.crash_power_loss(millis(3), false);
   RecoveryResult rr;
-  log.recover_from_storage(millis(4), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_EQ(rr.recovered_records, 8);
   EXPECT_EQ(rr.recovered_hw, 4);
   // The recovered log trusts only the checkpointed commit point; the tail
   // above it is refetched from the new leader.
   EXPECT_EQ(log.high_watermark(), 4);
   EXPECT_EQ(log.verify_recovery(), 0u);
+}
+
+// verify_recovery() is the `durable-recovery-prefix` invariant's input: a
+// rebuilt log that no longer ends at the ground-truth survivable prefix
+// must read nonzero, whichever way it moved.
+TEST(Storage, VerifyRecoveryFlagsALogThatLeftTheRecoveredPrefix) {
+  StorageConfig config;
+  config.flush_messages = 1;
+  StorageDevice device{config};
+  PartitionLog shorter;
+  PartitionLog longer;
+  for (PartitionLog* log : {&shorter, &longer}) {
+    log->enable_storage(&device);
+    log->append(records(0, 3), millis(1));
+    log->append(records(3, 3), millis(2));
+    log->crash_power_loss(millis(3), false);
+    RecoveryResult rr;
+    log->recover_from_storage(&rr);
+    ASSERT_EQ(rr.recovered_end, 6);
+    ASSERT_EQ(log->verify_recovery(), 0u);
+  }
+  shorter.truncate_to(shorter.log_end_offset() - 1);
+  EXPECT_GT(shorter.verify_recovery(), 0u);
+  longer.append(records(6, 1), millis(4));
+  EXPECT_GT(longer.verify_recovery(), 0u);
 }
 
 TEST(Storage, TruncationKeepsStorageInSyncAndCorruptionDetectable) {
@@ -290,7 +315,7 @@ TEST(Storage, TruncationKeepsStorageInSyncAndCorruptionDetectable) {
   log.append(records(2, 2), millis(3));
   log.crash_power_loss(millis(500) + millis(2), false);
   RecoveryResult rr;
-  log.recover_from_storage(millis(503), &rr);
+  log.recover_from_storage(&rr);
   EXPECT_EQ(rr.corrupt_batches, 1);
   EXPECT_EQ(rr.recovered_records, 0);  // Corruption sat in the first batch.
   EXPECT_EQ(log.verify_recovery(), 0u);
